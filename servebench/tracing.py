@@ -65,11 +65,9 @@ class Tracer:
 
         return traced
 
-    def self_ms(self) -> tuple[dict[str, float], dict[str, int], float, float]:
-        """Per-name self time (ms), per-name call counts, the summed
-        duration (ms) of the top-level spans, and the smallest self time of
-        any one span (ms; negative would mean children overlap their
-        parent)."""
+    def self_ms(self) -> tuple[dict[str, float], dict[str, int], float]:
+        """Per-name self time (ms), per-name call counts, and the summed
+        duration (ms) of the top-level spans."""
         child_seconds = [0.0] * len(self.spans)
         top_level = 0.0
         for name, start, end, parent in self.spans:
@@ -79,13 +77,10 @@ class Tracer:
                 top_level += end - start
         self_ms: dict[str, float] = defaultdict(float)
         calls: dict[str, int] = defaultdict(int)
-        smallest = 0.0
         for (name, start, end, _), children in zip(self.spans, child_seconds):
-            own = (end - start - children) * 1e3
-            self_ms[name] += own
+            self_ms[name] += (end - start - children) * 1e3
             calls[name] += 1
-            smallest = min(smallest, own)
-        return dict(self_ms), dict(calls), top_level * 1e3, smallest
+        return dict(self_ms), dict(calls), top_level * 1e3
 
 
 class TracedEngine(TickEngine):

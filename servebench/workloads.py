@@ -11,6 +11,7 @@ it stresses.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.datagen import (
@@ -71,19 +72,25 @@ class Workload:
     queue: tuple[int, float] | None = None
     defrag_period: int = 0
 
-    def request_trace(self, seed: int) -> RequestTrace:
+    def request_trace(
+        self, seed: int, *, poll: Callable[[], None] = lambda: None
+    ) -> RequestTrace:
         """The workload's request trace for ``seed`` (same seed, same trace).
 
         The starting platform is the same for every seed; the seed draws the
         traffic (arrivals, their bids and timing, and every churn operation).
+        ``poll`` is called between the generation steps (the benchmark's
+        clock probes the host speed there).
         """
         instance = generate_synthetic(
             SyntheticConfig(num_users=self.users, num_events=self.events),
             seed=PLATFORM_SEED,
         )
+        poll()
         churn = generate_churn_trace(
             instance, ChurnConfig(**self.churn), seed=seed + 1
         )
+        poll()
         trace = generate_request_trace(churn, batch_seconds=1.0, seed=seed + 2)
         if self.arrival_span < 1.0:
             trace.requests = [
@@ -140,21 +147,22 @@ WORKLOADS: dict[str, Workload] = {
     # Arrival-heavy bursts under deadline-queue admission; no defrag, no LP.
     # Bursts overflow ``max_serve`` so arrivals requeue, but the deadline is
     # long enough that none expires, and no departure can remove a queued
-    # arrival.
+    # arrival.  Many moderate bursts rather than a few large ones: the p90
+    # lies in the burst backlogs, and averages over more of them.
     "arrivals": Workload(
         name="arrivals",
         users=2000,
         events=300,
         churn=dict(
-            num_batches=35,
+            num_batches=38,
             user_arrival_rate=60.0,
             user_departure_rate=0.0,
             rebid_rate=8.0,
             event_open_rate=0.0,
             event_close_rate=0.0,
             conflict_toggle_rate=1.0,
-            burst_every=10,
-            burst_user_multiplier=4.0,
+            burst_every=4,
+            burst_user_multiplier=2.5,
             burst_event_close_fraction=0.0,
         ),
         queue=(40, 8.0),
@@ -166,7 +174,7 @@ WORKLOADS: dict[str, Workload] = {
         users=400,
         events=80,
         churn=dict(
-            num_batches=16,
+            num_batches=18,
             user_arrival_rate=15.0,
             user_departure_rate=0.0,
             rebid_rate=10.0,
@@ -177,7 +185,8 @@ WORKLOADS: dict[str, Workload] = {
         defrag_period=1,
     ),
     # Large |U|, mutation-heavy deltas (rebids, drift, capacity shocks,
-    # departures, event open/close, conflict toggles), few arrivals, no LP.
+    # departures, event open/close, conflict toggles), arrivals one
+    # operation in nine, no LP.
     # Arrivals fill the first 0.7 s of each second (see ``arrival_span``).
     "churn": Workload(
         name="churn",
@@ -185,7 +194,7 @@ WORKLOADS: dict[str, Workload] = {
         events=500,
         churn=dict(
             num_batches=20,
-            user_arrival_rate=20.0,
+            user_arrival_rate=40.0,
             user_departure_rate=30.0,
             rebid_rate=100.0,
             event_open_rate=2.0,
