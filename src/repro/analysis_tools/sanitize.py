@@ -208,7 +208,7 @@ def check_csr_invariants(index: "BaseInstanceIndex") -> None:
             "bid_user_positions is not the row expansion of bid_indptr",
         )
 
-    beta = index.instance.beta
+    beta = index.beta
     degrees = index.degrees
     _require(
         degrees.shape == (num_users,),

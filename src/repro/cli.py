@@ -100,8 +100,25 @@ def _configure_shards(instance: IGEPAInstance, shards: int) -> None:
         instance.configure_index(sharded=True, shard_size=shard_size)
 
 
+def _load_instance(path: str) -> IGEPAInstance | None:
+    """Read a saved instance; on a missing, unreadable or malformed file
+    print a one-line ``error: …`` to stderr and return None."""
+    try:
+        return IGEPAInstance.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # ValueError covers JSONDecodeError and the model's validation
+        # errors; KeyError/TypeError a JSON document that is no instance.
+        print(
+            f"error: cannot load instance {path}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return None
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = IGEPAInstance.load(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
     _configure_shards(instance, args.shards)
     algorithm = ALGORITHMS[args.algorithm](args)
     result = algorithm.solve(instance, seed=args.seed)
@@ -288,7 +305,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not args.instance:
             print("--stdin requires --instance INSTANCE.json", file=sys.stderr)
             return 2
-        instance = IGEPAInstance.load(args.instance)
+        instance = _load_instance(args.instance)
+        if instance is None:
+            return 2
         requests = (
             request_from_dict(json.loads(line))
             for line in sys.stdin

@@ -250,22 +250,24 @@ def _try_evict_moves_clean(state: _SearchState, event_scan: Sequence[int]) -> in
     load = arrangement.load_counts
     user_capacity = index.user_capacity
     user_ids = index.user_ids
-    # Per-event attendee groups from one nonzero pass: column slices of the
-    # big assignment matrix are strided reads, so gathering them per event
-    # costs O(|U|) each — grouping once is O(pairs).  An eviction only
-    # rewrites its own event's column, and no event repeats within a pass,
-    # so the snapshot stays exact for every event still to scan.
-    pair_rows, pair_cols = np.nonzero(assigned)
-    order = np.argsort(pair_cols, kind="stable")
-    grouped_rows = pair_rows[order]
-    boundaries = np.searchsorted(pair_cols[order], np.arange(index.num_events + 1))
+    # Only an exactly-full event can take an eviction (below capacity the
+    # add moves cover it; above, it stays full even after one), and an
+    # eviction never changes attendance, so the full events are known up
+    # front.  Their attendee groups come from one gather of just those
+    # columns — O(|U|·full), not a nonzero scan and sort of every pair.  An
+    # eviction only rewrites its own event's column, and no event repeats
+    # within a pass, so the snapshot stays exact for every event still to
+    # scan.
+    attendance = state.attendance
+    event_cap = state.event_cap
+    full = [vpos for vpos in event_scan if attendance[vpos] == event_cap[vpos]]
+    if not full:
+        return 0
+    group_of, grouped_rows = np.nonzero(assigned.T[full])
+    boundaries = np.searchsorted(group_of, np.arange(len(full) + 1)).tolist()
     accepted = 0
-    for vpos in event_scan:
-        if state.attendance[vpos] < state.event_cap[vpos]:
-            continue  # not full: add moves already cover it
-        if state.attendance[vpos] - 1 >= state.event_cap[vpos]:
-            continue  # over capacity: even after an eviction the event is full
-        attendees = grouped_rows[boundaries[vpos] : boundaries[vpos + 1]]
+    for group, vpos in enumerate(full):
+        attendees = grouped_rows[boundaries[group] : boundaries[group + 1]]
         if not attendees.size:
             continue
         weights = index.pair_weights(attendees, vpos)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -137,6 +138,68 @@ class Arrangement:
         """Assigned event positions of a user position, in insertion order —
         live view, do not mutate."""
         return self._user_events[upos]
+
+    def assigned_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Assigned ``(user position, event position)`` pairs as two aligned
+        int64 arrays in row-major order — ``np.nonzero(assignment_matrix)``
+        without the |U|·|V| scan.
+
+        Built from the per-user lists (O(|U| + pairs log pairs)); each
+        user's segment is sorted by event position whatever the insertion
+        order.  Pairs with ids unknown to the instance are not included.
+        """
+        load = self._load
+        rows = np.repeat(np.arange(load.size, dtype=np.int64), load)
+        cols = np.fromiter(
+            chain.from_iterable(self._user_events), dtype=np.int64, count=rows.size
+        )
+        # rows is already grouped, so the key order is (row, then column).
+        return rows, cols[np.lexsort((cols, rows))]
+
+    @classmethod
+    def _from_positions(
+        cls,
+        instance: IGEPAInstance,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        pairs: set[tuple[int, int]],
+    ) -> "Arrangement":
+        """An arrangement of exactly the given pairs, in O(|U| + pairs).
+
+        ``rows`` / ``cols`` are row-major ``(user position, event position)``
+        arrays of distinct bid pairs (as :meth:`assigned_positions` returns),
+        so each user's list comes out sorted by event position; ``pairs``
+        holds the same pairs as ``(event_id, user_id)`` and is taken over,
+        not copied.  The caller vouches for all of this, for feasibility and
+        for the bid constraint: nothing is checked, exactly as for
+        ``add(..., check=False)``.
+        """
+        arrangement = cls.__new__(cls)
+        arrangement.instance = instance
+        index = instance.index
+        arrangement._idx = index
+        num_users, num_events = index.num_users, index.num_events
+        arrangement._assigned = np.zeros(  # igepa: ignore[IGP002]
+            (num_users, num_events), dtype=bool
+        )
+        arrangement._assigned[rows, cols] = True
+        arrangement._attendance = np.bincount(cols, minlength=num_events).astype(
+            np.int64, copy=False
+        )
+        load = np.bincount(rows, minlength=num_users).astype(np.int64, copy=False)
+        arrangement._load = load
+        bounds = np.zeros(num_users + 1, dtype=np.int64)
+        np.cumsum(load, out=bounds[1:])
+        cols_list = cols.tolist()
+        bounds_list = bounds.tolist()
+        arrangement._user_events = [
+            cols_list[start:stop]
+            for start, stop in zip(bounds_list, bounds_list[1:])
+        ]
+        arrangement._pairs = pairs
+        arrangement._extra_pairs = set()
+        arrangement._nonbid_count = 0
+        return arrangement
 
     def is_clean(self) -> bool:
         """All pairs are known bid pairs — the array views cover everything

@@ -15,7 +15,7 @@ materializes the relation as a boolean matrix over an event list.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,22 +153,26 @@ class MatrixConflict(ConflictFunction):
         self,
         add: Iterable[tuple[int, int]] = (),
         remove: Iterable[tuple[int, int]] = (),
-        drop_events: Iterable[int] = (),
+        drop_events: Mapping[int, Iterable[int]] | None = None,
     ) -> "MatrixConflict":
-        """A successor relation with pairs added/removed and dangling pairs
-        referencing ``drop_events`` pruned.
+        """A successor relation with pairs added/removed and the pairs of
+        closing events pruned.
 
-        The internal pair set is copied and edited directly — no per-pair
-        revalidation — so batch churn stays O(edits + pruned), not O(pairs).
+        ``drop_events`` maps each closing event id to the ids of the events
+        it conflicts with — every partner must be listed (an index's
+        ``conflict_matrix`` row has them).  Their pairs leave in one set
+        difference, so the Python-level work is O(edits + pruned) on top of
+        one C-level copy of the pair set; no per-pair revalidation.
         Removing a pair that is not present is a silent no-op (``discard``
         semantics); callers needing strictness validate first, as
         :func:`repro.model.delta.apply_delta` does.
         """
-        dropped = set(drop_events)
         successor = MatrixConflict.__new__(MatrixConflict)
-        if dropped:
-            successor._pairs = {
-                pair for pair in self._pairs if not (dropped & pair)
+        if drop_events:
+            successor._pairs = self._pairs - {
+                frozenset((int(event_id), int(partner)))
+                for event_id, partners in drop_events.items()
+                for partner in partners
             }
         else:
             successor._pairs = set(self._pairs)

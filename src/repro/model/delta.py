@@ -51,7 +51,7 @@ from repro.model.index import (
     DENSE_CELL_CAP,
     BaseInstanceIndex,
     InstanceIndex,
-    build_degrees,
+    degree_vector,
     validated_interest,
 )
 from repro.model.instance import IGEPAInstance
@@ -440,17 +440,26 @@ def _successor_conflict(
     """The successor conflict function (a new MatrixConflict when edited).
 
     Besides applying the explicit edits, pairs referencing removed events
-    are pruned so successor serialization stays free of dangling ids.
+    are pruned so successor serialization stays free of dangling ids; each
+    closing event's partners come from its row of the predecessor's
+    conflict matrix (O(|V|) per closing event, not a scan of every pair).
     """
     edited = bool(delta.add_conflicts or delta.remove_conflicts)
     if not isinstance(instance.conflict, MatrixConflict):
         return instance.conflict
     if not edited and not delta.remove_events:
         return instance.conflict
+    index = instance.index
+    partners = {
+        event_id: index.event_ids[
+            np.flatnonzero(index.conflict_matrix[index.event_pos[event_id]])
+        ].tolist()
+        for event_id in delta.remove_events
+    }
     return instance.conflict.with_edits(
         add=delta.add_conflicts,
         remove=delta.remove_conflicts,
-        drop_events=delta.remove_events,
+        drop_events=partners,
     )
 
 
@@ -611,11 +620,6 @@ def _patch_components(
     for event_id, capacity in delta.set_event_capacity:
         event_capacity[event_map[old.event_pos[event_id]]] = capacity
     event_pos = {int(e): j for j, e in enumerate(event_ids.tolist())}
-    user_pos = (
-        {int(u): i for i, u in enumerate(user_ids.tolist())}
-        if delta.interest
-        else None
-    )
 
     # Conflict matrix: slice survivors, evaluate new events' rows with the
     # successor conflict function, then toggle edited survivor pairs.
@@ -701,10 +705,21 @@ def _patch_components(
     # on non-bid pairs only back the interest_of fallback and never reach
     # the index either way.)
     if delta.interest:
+        # Successor user positions without an O(|U|) id map: survivors go
+        # through ``user_map`` (-1 once removed), additions follow them.
+        added_pos = {
+            user.user_id: n_survivor_users + offset
+            for offset, user in enumerate(delta.add_users)
+        }
         for event_id, user_id, value in delta.interest:
-            upos = user_pos.get(user_id)
+            old_upos = old.user_pos.get(user_id)
+            upos = (
+                added_pos.get(user_id)
+                if old_upos is None
+                else int(user_map[old_upos])
+            )
             vpos = event_pos.get(event_id)
-            if upos is None or vpos is None:
+            if upos is None or upos < 0 or vpos is None:
                 continue
             start, stop = int(bid_indptr[upos]), int(bid_indptr[upos + 1])
             offsets = np.flatnonzero(bid_indices[start:stop] == vpos)
@@ -724,17 +739,28 @@ def _patch_components(
 
 
 def _successor_degrees(
-    instance: IGEPAInstance, successor: IGEPAInstance, delta: Delta
+    instance: IGEPAInstance,
+    successor: IGEPAInstance,
+    delta: Delta,
+    user_ids: np.ndarray,
 ) -> np.ndarray:
     """The successor index's degree vector.
 
-    When the user set or the overrides change, run the constructor's own
-    builder on the successor (O(|U|) lookups, no interest/conflict work) —
-    one shared implementation, so the patched vector cannot drift from a
+    When the user set or the overrides change, run the shared
+    :func:`~repro.model.index.degree_vector` over the patched id column
+    ``user_ids`` — O(|U|) graph or override lookups, no interest/conflict
+    work, and never the successor's columnar store (an entity-built
+    successor would pack every user's bids just to read the id column).
+    One implementation, so the patched vector cannot drift from a
     from-scratch build.  Otherwise copy the predecessor's.
     """
     if delta.add_users or delta.remove_users or delta.degrees:
-        return build_degrees(successor)
+        overrides = (
+            successor.store.degrees
+            if successor.is_columnar
+            else successor.degrees_override
+        )
+        return degree_vector(user_ids, successor.social, overrides)
     return instance.index.degrees.copy()
 
 
@@ -780,7 +806,9 @@ def _patch_index(
         event_lookup=successor.event_by_id.__getitem__,
         user_lookup=successor.user_by_id.__getitem__,
     )
-    components["degrees"] = _successor_degrees(instance, successor, delta)
+    components["degrees"] = _successor_degrees(
+        instance, successor, delta, components["user_ids"]
+    )
     return _index_from_components(instance.index, successor, components)
 
 
@@ -949,10 +977,14 @@ def _carry_arrangement(
     tighten a Definition 4 constraint is resolved here, so repair always
     starts from a feasible arrangement.
 
-    The survivor transfer is pure array work on the assignment matrix: old
-    pair positions are remapped through ``maps`` and invalidated against the
-    successor's ``bid_mask``, so carry cost scales with the pair count, not
-    with re-running per-pair feasibility checks.
+    The survivor transfer is pure array work on position arrays: the old
+    pairs come from the arrangement's per-user lists
+    (:meth:`Arrangement.assigned_positions`), are remapped through ``maps``
+    and invalidated against the successor's bid relation, so carry cost is
+    O(|U| + pairs), never a scan of the |U|·|V| assignment matrix.  The
+    maps keep survivors in order, so the kept pairs stay row-major and each
+    carried user's events stay sorted by event position.  Conflict and
+    capacity drops then remove pairs one by one — O(delta) removals.
     """
     if not arrangement.is_clean():
         raise DeltaError(
@@ -961,7 +993,7 @@ def _carry_arrangement(
     old_index = instance.index
     index = successor.index
 
-    old_upos, old_vpos = np.nonzero(arrangement.assignment_matrix)
+    old_upos, old_vpos = arrangement.assigned_positions()
     new_upos = maps.user_map[old_upos]
     new_vpos = maps.event_map[old_vpos]
     keep = (new_upos >= 0) & (new_vpos >= 0)
@@ -975,9 +1007,14 @@ def _carry_arrangement(
         )
     )
 
-    carried = Arrangement(successor)
+    # Pair ids survive the delta unchanged, so the carried id set is the
+    # old one minus the drops — no new tuple per kept pair.
+    pairs = arrangement.pairs
+    pairs.difference_update(dropped)
+    carried = Arrangement._from_positions(
+        successor, new_upos[keep], new_vpos[keep], pairs
+    )
     assigned = carried.assignment_matrix  # live view
-    assigned[new_upos[keep], new_vpos[keep]] = True
 
     if delta.add_conflicts:
         event_pos = index.event_pos
@@ -990,18 +1027,19 @@ def _carry_arrangement(
                 if w_first < w_second or (
                     w_first == w_second and first > second
                 ):
-                    victim_id, victim_pos = first, pa
+                    victim_id = first
                 else:
-                    victim_id, victim_pos = second, pb
-                assigned[upos, victim_pos] = False
-                dropped.append((victim_id, int(index.user_ids[upos])))
+                    victim_id = second
+                user_id = int(index.user_ids[upos])
+                carried.remove(victim_id, user_id)
+                dropped.append((victim_id, user_id))
 
     # Capacity shrinks shed the lightest pairs until the tightened budgets
     # hold.  Event side first — it only lowers user loads, so the user-side
     # pass afterwards cannot re-create an event overflow.
     for event_id, _capacity in delta.set_event_capacity:
         vpos = index.event_pos[event_id]
-        over = int(assigned[:, vpos].sum()) - int(index.event_capacity[vpos])
+        over = int(carried.attendance_counts[vpos]) - int(index.event_capacity[vpos])
         if over <= 0:
             continue
         attendees = np.flatnonzero(assigned[:, vpos])
@@ -1013,11 +1051,12 @@ def _carry_arrangement(
         # conflict-drop tie rule above).
         order = np.lexsort((-attendee_ids, weights))
         for k in order[:over].tolist():
-            assigned[int(attendees[k]), vpos] = False
-            dropped.append((event_id, int(attendee_ids[k])))
+            user_id = int(attendee_ids[k])
+            carried.remove(event_id, user_id)
+            dropped.append((event_id, user_id))
     for user_id, _capacity in delta.set_user_capacity:
         upos = index.user_pos[user_id]
-        over = int(assigned[upos].sum()) - int(index.user_capacity[upos])
+        over = int(carried.load_counts[upos]) - int(index.user_capacity[upos])
         if over <= 0:
             continue
         attended = np.flatnonzero(assigned[upos])
@@ -1027,23 +1066,9 @@ def _carry_arrangement(
         attended_ids = index.event_ids[attended]
         order = np.lexsort((-attended_ids, weights))
         for k in order[:over].tolist():
-            assigned[upos, int(attended[k])] = False
-            dropped.append((int(attended_ids[k]), user_id))
-
-    carried.attendance_counts[:] = assigned.sum(axis=0)
-    carried.load_counts[:] = assigned.sum(axis=1)
-    rows, cols = np.nonzero(assigned)
-    if rows.size:
-        boundaries = np.searchsorted(rows, np.arange(index.num_users + 1))
-        cols_list = cols.tolist()
-        user_events = carried._user_events
-        for upos in range(index.num_users):
-            start, stop = boundaries[upos], boundaries[upos + 1]
-            if stop > start:
-                user_events[upos] = cols_list[start:stop]
-        carried._pairs = set(
-            zip(index.event_ids[cols].tolist(), index.user_ids[rows].tolist())
-        )
+            event_id = int(attended_ids[k])
+            carried.remove(event_id, user_id)
+            dropped.append((event_id, user_id))
 
     touched_users = {user_id for _event_id, user_id in dropped}
     touched_events = {event_id for event_id, _user_id in dropped}
@@ -1294,7 +1319,7 @@ def apply_delta(
         successor._index_config = instance._index_config
         if incremental:
             components["degrees"] = _successor_degrees(
-                instance, successor, delta
+                instance, successor, delta, components["user_ids"]
             )
             successor._index = _index_from_components(
                 instance.index, successor, components

@@ -56,7 +56,7 @@ enforces this end to end).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -66,6 +66,7 @@ from repro.model.errors import IndexCapacityError, InstanceValidationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.model.entities import Event, User
     from repro.model.instance import IGEPAInstance
+    from repro.social.graph import Graph
 
 #: Hard cap on dense ``(num_users, num_events)`` matrices: above this many
 #: cells :class:`InstanceIndex` refuses to build (the three dense matrices
@@ -74,34 +75,55 @@ DENSE_CELL_CAP = 10_000_000
 
 
 def build_degrees(instance: "IGEPAInstance") -> np.ndarray:
-    """``D(G, u)`` per user position (Definition 6).
+    """``D(G, u)`` per user position (Definition 6) of an instance.
 
-    The single implementation of the degree vector — used by the
-    from-scratch index build and by delta maintenance
-    (:mod:`repro.model.delta`) whenever a churn batch changes the user set
-    or the overrides, so the two can never drift apart.
-
-    Routed through the instance's columnar store: the override branch is the
-    store's ``degrees`` vector (packed from the override dict by the same
-    ``dict.get`` lookups the per-user loop ran, so the bits cannot differ),
-    and the graph branch batches one C-level fill over the id column — the
-    same graph lookups and the same ``int / int`` IEEE-754 division as the
-    scalar loop.
+    The from-scratch index build's entry point: reads the user-id and
+    override columns of the instance's columnar store and hands them to
+    :func:`degree_vector`.
     """
     store = instance.store
-    num_users = store.num_users
-    if store.degrees is not None:
-        # Zero-copy when already float64: indexes never mutate the degree
-        # vector, and delta patching copies before touching it.
-        return store.degrees.astype(np.float64, copy=False)
+    return degree_vector(store.user_ids, instance.social, store.degrees)
+
+
+def degree_vector(
+    user_ids: np.ndarray,
+    social: "Graph",
+    overrides: np.ndarray | Mapping[int, float] | None,
+) -> np.ndarray:
+    """``D(G, u)`` for the users of ``user_ids``, in that order.
+
+    The single implementation of the degree vector — used by the
+    from-scratch index build (:func:`build_degrees`) and by delta
+    maintenance (:mod:`repro.model.delta`), which passes the patched id
+    column and the successor's override dict, so the two can never drift
+    apart.
+
+    ``overrides`` is either a packed per-position column (a store's
+    ``degrees``, returned zero-copy when already float64: indexes never
+    mutate the degree vector, and delta patching copies before touching
+    it), an ``id -> D`` mapping packed by the same ``dict.get(id, 0.0)``
+    lookups :meth:`ColumnarStore.from_entities` runs, or None for the graph
+    branch: one C-level fill over the ids with the same graph lookups and
+    the same ``int / int`` IEEE-754 division as the scalar loop.  Cost is
+    O(|U|) lookups either way; no entity object is touched.
+    """
+    num_users = user_ids.size
+    if isinstance(overrides, np.ndarray):
+        return overrides.astype(np.float64, copy=False)
+    if overrides is not None:
+        override_get = overrides.get
+        return np.fromiter(
+            (override_get(user_id, 0.0) for user_id in user_ids.tolist()),
+            dtype=np.float64,
+            count=num_users,
+        )
     if num_users > 1:
-        social = instance.social
         has_node = social.has_node
         degree = social.degree
         raw = np.fromiter(
             (
                 degree(user_id) if has_node(user_id) else 0
-                for user_id in store.user_ids.tolist()
+                for user_id in user_ids.tolist()
             ),
             dtype=np.int64,
             count=num_users,
@@ -219,7 +241,11 @@ class BaseInstanceIndex:
         "bidder_weights",
     )
 
-    instance: "IGEPAInstance"
+    #: The instance's β.  The index keeps no reference to the instance
+    #: itself: an instance <-> index cycle would leave every replaced
+    #: instance of a churn chain — dense matrices included — alive until
+    #: the cyclic garbage collector's next full pass.
+    beta: float
     user_ids: np.ndarray
     event_ids: np.ndarray
     user_pos: dict[int, int]
@@ -244,7 +270,7 @@ class BaseInstanceIndex:
         objects.  Indexes never mutate these arrays (delta maintenance
         always allocates fresh ones), so sharing is safe.
         """
-        self.instance = instance
+        self.beta = instance.beta
         store = instance.store
 
         self.user_ids = store.user_ids
@@ -260,7 +286,9 @@ class BaseInstanceIndex:
         else:
             self.conflict_matrix = instance.conflict.matrix(instance.events)
 
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _build_csr(
+        self, instance: "IGEPAInstance"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR bid incidence with per-entry SI values.
 
         The structure (``indptr`` / event positions) is the store's CSR,
@@ -276,7 +304,6 @@ class BaseInstanceIndex:
         """
         from repro.model.columnar import ColumnarInterest
 
-        instance = self.instance
         store = instance.store
         indptr = store.bid_indptr
         indices = store.bid_event_pos
@@ -329,7 +356,7 @@ class BaseInstanceIndex:
         num_users = self.user_ids.size
         # float32 copy for the BLAS-backed bulk conflict audit.
         self.conflict_f32 = self.conflict_matrix.astype(np.float32)
-        beta = self.instance.beta
+        beta = self.beta
         #: Row expansion of the CSR: the user position of each bid pair,
         #: aligned with ``bid_indices``.
         self.bid_user_positions = np.repeat(
@@ -624,7 +651,7 @@ class InstanceIndex(BaseInstanceIndex):
                 "ShardedInstanceIndex instead (IGEPAInstance.configure_index)"
             )
         self._build_primary(instance)
-        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
+        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr(instance)
         self._finalize()
 
     @classmethod
@@ -659,7 +686,7 @@ class InstanceIndex(BaseInstanceIndex):
                 "ShardedInstanceIndex at this size"
             )
         index = cls.__new__(cls)
-        index.instance = instance
+        index.beta = instance.beta
         index.user_ids = user_ids
         index.event_ids = event_ids
         index.user_pos = {int(u): i for i, u in enumerate(user_ids.tolist())}
@@ -680,13 +707,15 @@ class InstanceIndex(BaseInstanceIndex):
         num_events = self.num_events
         self.SI = np.zeros((num_users, num_events), dtype=np.float64)
         self.bid_mask = np.zeros((num_users, num_events), dtype=bool)
+        self.W = np.zeros((num_users, num_events), dtype=np.float64)
         if self.bid_indices.size:
-            self.SI[self.bid_user_positions, self.bid_indices] = self.bid_si
-            self.bid_mask[self.bid_user_positions, self.bid_indices] = True
-        beta = self.instance.beta
-        self.W = np.where(
-            self.bid_mask, beta * self.SI + (1.0 - beta) * self.degrees[:, None], 0.0
-        )
+            cells = (self.bid_user_positions, self.bid_indices)
+            self.SI[cells] = self.bid_si
+            self.bid_mask[cells] = True
+            # ``bid_weights`` holds the ``β·SI + (1-β)·D`` double of each bid
+            # cell, so scattering it equals the full-matrix expression bit
+            # for bit at O(bids) instead of three |U|·|V| float passes.
+            self.W[cells] = self.bid_weights
 
     # ------------------------------------------------------------------
     # Dense overrides of the pair accessors (O(1) matrix lookups)

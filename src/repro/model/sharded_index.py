@@ -67,7 +67,7 @@ class ShardedInstanceIndex(BaseInstanceIndex):
     ) -> None:
         self._build_primary(instance)
         self._shard_size = self._resolve_shard_size(shard_size)
-        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr()
+        self.bid_indptr, self.bid_indices, self.bid_si = self._build_csr(instance)
         self._finalize()
 
     def _resolve_shard_size(self, shard_size: int | None) -> int:
@@ -103,7 +103,7 @@ class ShardedInstanceIndex(BaseInstanceIndex):
         patched index is bit-identical to a from-scratch build.
         """
         index = cls.__new__(cls)
-        index.instance = instance
+        index.beta = instance.beta
         index.user_ids = user_ids
         index.event_ids = event_ids
         index.user_pos = {int(u): i for i, u in enumerate(user_ids.tolist())}

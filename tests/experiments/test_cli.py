@@ -100,6 +100,23 @@ class TestGenerateAndSolve:
         assert "utility" in output
         assert algorithm.replace("exact", "exact-ilp") in output
 
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", '{"events": []}', "[1, 2]"]
+    )
+    def test_solve_bad_instance_file_is_one_line_error(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "instance.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot load instance {path}: ")
+        assert "Traceback" not in captured.err
+
     def test_solve_with_alpha(self, tmp_path, capsys):
         out = tmp_path / "instance.json"
         main(

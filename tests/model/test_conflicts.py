@@ -63,6 +63,29 @@ class TestMatrixConflict:
         with pytest.raises(ValueError, match="probability"):
             MatrixConflict.sample(range(3), 2.0, np.random.default_rng(0))
 
+    def test_with_edits_prunes_listed_partners(self):
+        f = MatrixConflict.sample(range(12), 0.4, np.random.default_rng(3))
+        before = f.pairs()
+        assert any(2 in pair for pair in before)
+        closing = {2: [], 7: []}
+        for low, high in f.pairs():
+            for event_id in closing:
+                if event_id in (low, high):
+                    closing[event_id].append(high if low == event_id else low)
+        successor = f.with_edits(
+            add=[(0, 11)] if not f.conflicts_ids(0, 11) else [],
+            remove=[f.pairs()[0]],
+            drop_events=closing,
+        )
+        expected = {
+            pair
+            for pair in f.pairs()[1:]
+            if not set(pair) & set(closing)
+        } | {(0, 11)}
+        assert successor.pairs() == sorted(expected)
+        assert successor.to_dict() == MatrixConflict(expected).to_dict()
+        assert f.pairs() == before  # the predecessor is untouched
+
     def test_sample_deterministic(self):
         f1 = MatrixConflict.sample(range(20), 0.5, np.random.default_rng(7))
         f2 = MatrixConflict.sample(range(20), 0.5, np.random.default_rng(7))

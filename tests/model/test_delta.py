@@ -245,6 +245,19 @@ class TestApplySemantics:
         assert not instance.conflicts(1, 3)
         assert_index_parity(successor)
 
+    def test_closing_events_prune_their_conflicts(self):
+        instance = random_instance(seed=6, num_events=10, conflict_probability=0.5)
+        closing = (1, 4)
+        result = apply_delta(instance, Delta(remove_events=closing))
+        expected = [
+            pair
+            for pair in instance.conflict.pairs()
+            if not set(pair) & set(closing)
+        ]
+        assert len(expected) < instance.conflict.num_conflicting_pairs
+        assert result.instance.conflict.pairs() == expected
+        assert_index_parity(result.instance)
+
     def test_degree_override_patch(self):
         from repro.datagen import SyntheticConfig, generate_synthetic
 
@@ -298,6 +311,31 @@ class TestApplySemantics:
         assert instance.index is before_index
         assert instance.social.has_node(10)
 
+    def test_replaced_instance_freed_by_reference_counting(self):
+        """Nothing in a churn chain points back from the successor (or from
+        an index) to the predecessor, so a replaced instance — dense index
+        matrices included — is freed as soon as the caller drops it, not at
+        the cyclic collector's next full pass."""
+        import gc
+        import weakref
+
+        from repro.core import GGGreedy
+
+        instance = random_instance(seed=5, num_users=12)
+        arrangement = GGGreedy().solve(instance, seed=0).arrangement
+        delta = Delta(remove_users=(instance.users[0].user_id,))
+        gc.disable()
+        try:
+            result = apply_delta(instance, delta, arrangement)
+            predecessor = weakref.ref(instance)
+            index = weakref.ref(instance.index)
+            del instance, arrangement
+            assert predecessor() is None
+            assert index() is None
+            assert result.arrangement.is_feasible()
+        finally:
+            gc.enable()
+
     def test_non_incremental_matches_incremental_content(self):
         instance = random_instance(seed=5)
         delta = Delta(remove_users=(instance.users[0].user_id,))
@@ -308,6 +346,93 @@ class TestApplySemantics:
             assert np.array_equal(
                 getattr(incremental.index, name), getattr(full.index, name)
             ), name
+
+
+def _counter_delta(kind, instance, arrangement):
+    """A delta of the given kind that exercises the carry's drop paths."""
+    users = [u.user_id for u in instance.users]
+    events = [e.event_id for e in instance.events]
+    new_users = (
+        User(user_id=900, capacity=2, bids=(events[0], events[1])),
+        User(user_id=901, capacity=1, bids=(events[2],)),
+    )
+    add_users = dict(
+        add_users=new_users,
+        interest=tuple(
+            (event_id, user.user_id, 0.25 + 0.1 * offset)
+            for user in new_users
+            for offset, event_id in enumerate(user.bids)
+        ),
+    )
+    # Pairs of events some user attends together: conflicting them forces
+    # the carry to drop the lighter pair of each such user.
+    together = sorted(
+        {
+            tuple(sorted(arrangement.events_of(user_id))[:2])
+            for user_id in users
+            if arrangement.load(user_id) >= 2
+        }
+    )[:2]
+    assert together
+    busiest_event = max(events, key=arrangement.attendance)
+    busiest_user = max(users, key=arrangement.load)
+    shrink = dict(
+        set_event_capacity=(
+            (busiest_event, arrangement.attendance(busiest_event) - 1),
+        ),
+        set_user_capacity=((busiest_user, arrangement.load(busiest_user) - 1),),
+    )
+    if kind == "remove_users":
+        return Delta(remove_users=tuple(users[:3]))
+    if kind == "add_users":
+        return Delta(**add_users)
+    if kind == "add_conflicts":
+        return Delta(add_conflicts=tuple(together))
+    if kind == "shrink_capacities":
+        return Delta(**shrink)
+    # mixed: all of the above plus a departure and a closing event.
+    in_use = {busiest_event, events[0], events[1], events[2]}
+    in_use.update(event_id for pair in together for event_id in pair)
+    return Delta(
+        remove_users=tuple(u for u in users[-2:] if u != busiest_user),
+        remove_events=tuple(e for e in events if e not in in_use)[:1],
+        add_conflicts=tuple(together),
+        **add_users,
+        **shrink,
+    )
+
+
+COUNTER_DELTA_KINDS = (
+    "remove_users",
+    "add_users",
+    "add_conflicts",
+    "shrink_capacities",
+    "mixed",
+)
+
+
+def _assert_carry_matches_checked_rebuild(kind, arrangement, result):
+    carried = result.arrangement
+    if kind in ("add_conflicts", "shrink_capacities", "mixed"):
+        assert result.dropped_pairs, kind  # the drop paths actually ran
+    # The checked rebuild starts from the expected pair set — the old pairs
+    # minus the reported drops — and re-validates every pair.
+    expected = arrangement.pairs - set(result.dropped_pairs)
+    assert len(expected) == len(arrangement) - len(result.dropped_pairs), kind
+    rebuilt = Arrangement.from_pairs(result.instance, expected, check=True)
+    assert carried.pairs == rebuilt.pairs, kind
+    assert np.array_equal(rebuilt.assignment_matrix, carried.assignment_matrix)
+    for name in ("attendance_counts", "load_counts"):
+        ours, theirs = getattr(carried, name), getattr(rebuilt, name)
+        assert ours.dtype == theirs.dtype, (kind, name)
+        assert np.array_equal(ours, theirs), (kind, name)
+    assert rebuilt.utility() == carried.utility(), kind
+    assert carried.is_feasible(), kind
+    # Each carried user's events are their assignment row, in order.
+    for upos in range(result.instance.index.num_users):
+        assert carried.assigned_event_positions(upos) == (
+            np.flatnonzero(carried.assignment_matrix[upos]).tolist()
+        ), kind
 
 
 class TestCarryOver:
@@ -344,27 +469,47 @@ class TestCarryOver:
         assert result.arrangement.is_feasible()
 
     def test_counters_match_checked_rebuild(self):
+        from repro.core import GGGreedy
+
         instance = random_instance(seed=9, num_users=20, num_events=8)
+        arrangement = GGGreedy().solve(instance, seed=0).arrangement
+        for kind in COUNTER_DELTA_KINDS:
+            delta = _counter_delta(kind, instance, arrangement)
+            result = apply_delta(instance, delta, arrangement)
+            _assert_carry_matches_checked_rebuild(kind, arrangement, result)
+
+    def test_assigned_positions_is_row_major_nonzero(self):
+        instance = random_instance(seed=4, num_users=15, num_events=6)
+        # Insertion order deliberately not sorted by event position.
+        pairs = sorted(
+            ((e, u.user_id) for u in instance.users for e in u.bids),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        arrangement = Arrangement(instance)
+        for event_id, user_id in pairs:
+            if arrangement.can_add(event_id, user_id):
+                arrangement.add(event_id, user_id)
+        rows, cols = arrangement.assigned_positions()
+        expected_rows, expected_cols = np.nonzero(arrangement.assignment_matrix)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(cols, expected_cols)
+
+    def test_entity_successor_never_packs_a_store(self):
+        """The degree patch reads the patched id column, not a store the
+        successor would have to pack from every user's bids."""
+        instance = random_instance(seed=3, num_users=12)
         from repro.core import GGGreedy
 
         arrangement = GGGreedy().solve(instance, seed=0).arrangement
-        victims = [u.user_id for u in instance.users[:3]]
-        result = apply_delta(
-            instance, Delta(remove_users=tuple(victims)), arrangement
+        assert not instance.is_columnar
+        delta = Delta(
+            remove_users=(instance.users[0].user_id,),
+            add_users=(User(user_id=900, capacity=1, bids=(0,)),),
+            interest=((0, 900, 0.5),),
         )
-        rebuilt = Arrangement.from_pairs(
-            result.instance, result.arrangement.pairs, check=True
-        )
-        assert np.array_equal(
-            rebuilt.assignment_matrix, result.arrangement.assignment_matrix
-        )
-        assert np.array_equal(
-            rebuilt.attendance_counts, result.arrangement.attendance_counts
-        )
-        assert np.array_equal(
-            rebuilt.load_counts, result.arrangement.load_counts
-        )
-        assert rebuilt.utility() == result.arrangement.utility()
+        result = apply_delta(instance, delta, arrangement)
+        assert result.instance._store is None
+        assert_index_parity(result.instance)
 
     def test_touched_sets_cover_dropped_and_added(self):
         instance = tiny_instance()
