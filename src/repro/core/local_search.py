@@ -254,10 +254,9 @@ def _try_evict_moves_clean(state: _SearchState, event_scan: Sequence[int]) -> in
     # add moves cover it; above, it stays full even after one), and an
     # eviction never changes attendance, so the full events are known up
     # front.  Their attendee groups come from one gather of just those
-    # columns — O(|U|·full), not a nonzero scan and sort of every pair.  An
-    # eviction only rewrites its own event's column, and no event repeats
-    # within a pass, so the snapshot stays exact for every event still to
-    # scan.
+    # columns, O(|U|) per full event.  An eviction only rewrites its own
+    # event's column, and no event repeats within a pass, so the snapshot
+    # stays exact for every event still to scan.
     attendance = state.attendance
     event_cap = state.event_cap
     full = [vpos for vpos in event_scan if attendance[vpos] == event_cap[vpos]]

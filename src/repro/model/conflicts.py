@@ -168,14 +168,11 @@ class MatrixConflict(ConflictFunction):
         :func:`repro.model.delta.apply_delta` does.
         """
         successor = MatrixConflict.__new__(MatrixConflict)
-        if drop_events:
-            successor._pairs = self._pairs - {
-                frozenset((int(event_id), int(partner)))
-                for event_id, partners in drop_events.items()
-                for partner in partners
-            }
-        else:
-            successor._pairs = set(self._pairs)
+        successor._pairs = self._pairs - {
+            frozenset((int(event_id), int(partner)))
+            for event_id, partners in (drop_events or {}).items()
+            for partner in partners
+        }
         for u, v in remove:
             successor._pairs.discard(frozenset((int(u), int(v))))
         for u, v in add:
